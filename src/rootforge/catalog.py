@@ -47,7 +47,6 @@ from .hermitian import (
 from .pisys import SubrootSystem, check_pi_system, generate, rebase_hermitian
 from .rootsys import (
     CartanMatrix,
-    Root,
     RootSystem,
     build_root_system,
     cartan_integer,
@@ -399,13 +398,6 @@ def _e7_table(ambient: RealFormName, s: dict[int, Vec]) -> list[CatalogEntry]:
 # Instantiation and validation
 
 
-def _identity_labels(rank: int) -> dict[int, Vec]:
-    return {
-        i + 1: tuple(1 if j == i else 0 for j in range(rank))
-        for i in range(rank)
-    }
-
-
 def _table_for(name: RealFormName, s: dict[int, Vec]) -> list[CatalogEntry]:
     f = name.components[0]
     if f.family == "su":
@@ -433,20 +425,13 @@ def rows_for(name: RealFormName, s: dict[int, Vec] | None = None) -> list[Catalo
     if f.family == "su" and (f.a < 1 or f.b < f.a):
         raise ParameterOutOfRange(str(name))
     if s is None:
-        s = _identity_labels(_ambient_rank(f))
+        s = _simple_labels(ambient_context(str(name))[0])
     return _table_for(name, s)
 
 
-def _ambient_rank(f: SimpleForm) -> int:
-    if f.family == "su":
-        return f.a + f.b - 1
-    if f.family == "so*":
-        return f.a
-    if f.family == "so":
-        return (f.a + 2) // 2
-    if f.family == "e6":
-        return 6
-    return 7
+def _simple_labels(system: RootSystem) -> dict[int, Vec]:
+    """Node label -> simple root: the table coordinates of the ambient itself."""
+    return dict(enumerate(system.simple_roots, start=1))
 
 
 def validate_entry(system: RootSystem, marking: HermitianMarking, entry: CatalogEntry) -> None:
@@ -478,7 +463,10 @@ def validate_entry(system: RootSystem, marking: HermitianMarking, entry: Catalog
                     f"{entry.source}: node {i + 1} of {f} has mark {cls.value}"
                 )
     sub = generate(pi)
-    expected_count = _root_count(entry.name)
+    counts = [f.facts.root_count for f in entry.name.components]
+    if None in counts:
+        raise RootForgeError(f"no root count for {entry.name}")
+    expected_count = sum(counts)
     if len(sub.roots) != expected_count:
         raise TableValidationError(
             f"{entry.source}: generated {len(sub.roots)} roots, expected {expected_count}"
@@ -491,46 +479,26 @@ def validate_entry(system: RootSystem, marking: HermitianMarking, entry: Catalog
         )
 
 
-def _root_count(name: RealFormName) -> int:
-    total = 0
-    for f in name.components:
-        key = f.canonical_key()
-        tag = key[0]
-        if tag == "A":
-            n = key[1] + key[2] - 1
-            total += n * (n + 1)
-        elif tag == "C":
-            total += 2 * key[1] * key[1]
-        elif tag == "Dstar":
-            total += 2 * key[1] * (key[1] - 1)
-        elif tag == "D4":
-            total += 24
-        elif tag == "SO":
-            k = (key[1] + 2) // 2
-            total += 2 * k * (k - 1)
-        elif tag == "E6":
-            total += 72
-        elif tag == "E7":
-            total += 126
-        else:
-            raise RootForgeError(f"no root count for {f}")
-    return total
-
-
 def maximal_hermitian_regular_subalgebras(ambient) -> list[CatalogEntry]:
     """All table rows of the ambient, instantiated and validated."""
     name = _coerce_name(ambient)
-    f = name.components[0] if name.is_simple else None
-    if f is None:
+    if not name.is_simple:
         raise UnsupportedAmbient(f"{name} is not a simple ambient")
-    if f.family == "su" and f.a == f.b == 1:
-        return []
+    name = _table_name(name.components[0])
+    system, marking = ambient_context(str(name))
+    return _validated_rows(system, marking, rows_for(name, _simple_labels(system)))
+
+
+def _table_name(f: SimpleForm) -> RealFormName:
+    """Route a form isomorphic to some su(p,q) (sp(2,R), so(4,2), ...) to its su table."""
     key = f.canonical_key()
     if key[0] == "A":
         f = SimpleForm("su", key[1], key[2])
-    name = RealFormName((f,))
-    system, marking = ambient_context(str(name))
-    rows = rows_for(name)
+    return RealFormName((f,))
+
+
+def _validated_rows(system: RootSystem, marking: HermitianMarking, rows) -> list[CatalogEntry]:
+    """Rows deduplicated on (name, generator set), each validated."""
     out = []
     seen = set()
     for row in rows:
@@ -580,13 +548,8 @@ class InclusionChain:
         return self.steps[-1].generators if self.steps else ()
 
     def subsystem(self, system: RootSystem) -> SubrootSystem:
-        if not self.steps:
-            rank = system.rank
-            gens = tuple(
-                tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
-            )
-            return generate(check_pi_system(system, gens))
-        return generate(check_pi_system(system, self.composed_generators))
+        gens = self.composed_generators or system.simple_roots
+        return generate(check_pi_system(system, gens))
 
 
 def inclusion_chains(target, ambient, max_depth: int) -> list[InclusionChain]:
@@ -609,20 +572,11 @@ def inclusion_chains(target, ambient, max_depth: int) -> list[InclusionChain]:
     def expand(current_name: RealFormName, labels: dict[int, Vec], steps: tuple[ChainStep, ...], depth: int):
         if depth >= max_depth:
             return
-        f = current_name.components[0]
-        if f.family == "su" and f.a == f.b == 1:
-            return
         try:
             rows = rows_for(current_name, labels)
         except UnsupportedAmbient:
             return
-        dedup_rows = set()
-        for row in rows:
-            sig = (row.name.canonical_key(), frozenset(row.generators))
-            if sig in dedup_rows:
-                continue
-            dedup_rows.add(sig)
-            validate_entry(system, marking, row)
+        for row in _validated_rows(system, marking, rows):
             step = ChainStep(name=row.name, generators=row.generators, source=row.source)
             chain_steps = steps + (step,)
             if row.name == target_name:
@@ -635,14 +589,10 @@ def inclusion_chains(target, ambient, max_depth: int) -> list[InclusionChain]:
                     seen.add(key)
                     results.append(chain)
             if row.name.is_simple:
-                sub_f = row.name.components[0]
-                canon = sub_f.canonical_key()
-                if canon[0] == "A":
-                    sub_f = SimpleForm("su", canon[1], canon[2])
-                sub_labels = {i + 1: g for i, g in enumerate(row.components[0][1])}
-                expand(RealFormName((sub_f,)), sub_labels, chain_steps, depth + 1)
+                sub_labels = dict(enumerate(row.components[0][1], start=1))
+                expand(_table_name(row.name.components[0]), sub_labels, chain_steps, depth + 1)
 
-    expand(ambient_name, _identity_labels(system.rank), (), 0)
+    expand(ambient_name, _simple_labels(system), (), 0)
     return results
 
 

@@ -57,18 +57,33 @@ def _parse_vectors(text: str) -> list[tuple[int, ...]]:
 def _parse_weights(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(x.strip()) for x in text.replace(";", ",").split(","))
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"cannot parse weights {text!r}: {e}") from None
 
 
-def _load_system(args) -> RootSystem:
+def _read_json(path: str, convert=lambda data: data):
+    """Load a JSON input file and convert it to typed values.
+
+    An unreadable file, bad JSON, a missing key or a wrong shape is a
+    UsageError, never a traceback.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return convert(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+        raise UsageError(f"cannot read {path}: {type(e).__name__}: {e}") from None
+
+
+def _system_descriptor(args) -> dict:
     if getattr(args, "system_file", None):
-        with open(args.system_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return build_root_system(system_from_json(data))
+        return _read_json(args.system_file)
     if not getattr(args, "family", None) or getattr(args, "rank", None) is None:
         raise UsageError("provide --family and --rank (or --system-file)")
-    return build_root_system(system_from_json({"family": args.family, "rank": args.rank}))
+    return {"family": str(args.family).upper(), "rank": int(args.rank)}
+
+
+def _load_system(args) -> RootSystem:
+    return build_root_system(system_from_json(_system_descriptor(args)))
 
 
 def _marking(args, system: RootSystem) -> HermitianMarking:
@@ -76,13 +91,6 @@ def _marking(args, system: RootSystem) -> HermitianMarking:
     if mark is None:
         raise UsageError("provide --mark (1-based noncompact node index)")
     return HermitianMarking(system=system, nc_index=int(mark) - 1)
-
-
-def _system_descriptor(args) -> dict:
-    if getattr(args, "system_file", None):
-        with open(args.system_file, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {"family": str(args.family).upper(), "rank": int(args.rank)}
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -107,9 +115,7 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_gens_file(path: str) -> list[tuple[int, ...]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def _gens_of(data) -> list[tuple[int, ...]]:
     vectors = data["pi_system"] if isinstance(data, dict) else data
     return [tuple(int(x) for x in vec) for vec in vectors]
 
@@ -117,7 +123,7 @@ def _load_gens_file(path: str) -> list[tuple[int, ...]]:
 def _cmd_pisystem(args) -> int:
     system = _load_system(args)
     if args.gens_file:
-        gens = _load_gens_file(args.gens_file)
+        gens = _read_json(args.gens_file, _gens_of)
     elif args.gens:
         gens = _parse_vectors(args.gens)
     else:
@@ -147,7 +153,7 @@ def _cmd_pisystem(args) -> int:
         return 0
     if args.action == "equiv":
         if args.gens_b_file:
-            gens_b = _load_gens_file(args.gens_b_file)
+            gens_b = _read_json(args.gens_b_file, _gens_of)
         elif args.gens_b:
             gens_b = _parse_vectors(args.gens_b)
         else:
@@ -165,24 +171,24 @@ def _cmd_pisystem(args) -> int:
 
 
 def _cmd_wdd(args) -> int:
-    system = _load_system(args)
+    descriptor = _system_descriptor(args)
+    system = build_root_system(system_from_json(descriptor))
     if args.action == "weights":
         coords = _parse_weights(args.coroot)
         h = wdd_mod.CorootVector(system=system, coords=coords)
         w = wdd_mod.weights_of(h)
         _emit(args, {"weights": [str(x) for x in w.weights],
-                     "system": _system_descriptor(args)},
+                     "system": descriptor},
               wdd_mod.format_weights(w))
         return 0
     if args.action == "push":
         if not args.embedding or not args.coroot:
             raise UsageError("push needs --embedding FILE and --coroot")
-        with open(args.embedding, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        emb = [
-            wdd_mod.CorootVector(system=system, coords=tuple(Fraction(x) for x in vec))
-            for vec in data["embedding"]
-        ]
+        images = _read_json(
+            args.embedding,
+            lambda data: [tuple(Fraction(x) for x in vec) for vec in data["embedding"]],
+        )
+        emb = [wdd_mod.CorootVector(system=system, coords=coords) for coords in images]
         h = wdd_mod.push_coroot(emb, _parse_weights(args.coroot))
         _emit(args, {"coroot": [str(x) for x in h.coords]},
               ",".join(str(x) for x in h.coords))
@@ -196,7 +202,7 @@ def _cmd_wdd(args) -> int:
             args,
             {"weights": [str(x) for x in dom.weights],
              "word": [list(r) for r in word],
-             "system": _system_descriptor(args)},
+             "system": descriptor},
             wdd_mod.format_weights(dom),
         )
         return 0

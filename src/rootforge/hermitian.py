@@ -26,7 +26,7 @@ from .errors import (
     NotHermitianNode,
     RootForgeError,
 )
-from .rootsys import Root, RootSystem, cartan_integer
+from .rootsys import RootSystem, cartan_integer, components
 
 
 class RootClass(enum.Enum):
@@ -63,6 +63,30 @@ def classify_root(m: HermitianMarking, root) -> RootClass:
 
 # --------------------------------------------------------------------------
 # Symbolic real-form names
+
+
+@dataclass(frozen=True)
+class FamilyFacts:
+    """Per-family facts of a simple Hermitian form."""
+
+    real_rank: int
+    tube_type: bool
+    embeds_in_simply_laced: bool
+    root_count: int | None  # roots of the complexification; None for so(n,2)
+
+
+# One entry per canonical-key tag, called with the key's parameters.
+# so(p,2) counts the D_k roots of the table's even-p labeling, k = (p+2)//2.
+_FAMILY_FACTS = {
+    "A": lambda p, q: FamilyFacts(p, p == q, True, (p + q - 1) * (p + q)),
+    "C": lambda n: FamilyFacts(n, True, False, 2 * n * n),
+    "Dstar": lambda p: FamilyFacts(p // 2, p % 2 == 0, True, 2 * p * (p - 1)),
+    "D4": lambda: FamilyFacts(2, True, True, 24),
+    "SO": lambda p: FamilyFacts(2, True, p % 2 == 0, 2 * ((p + 2) // 2) * (p // 2)),
+    "E6": lambda: FamilyFacts(2, False, True, 72),
+    "E7": lambda: FamilyFacts(3, True, True, 126),
+    "SOFAM": lambda: FamilyFacts(2, True, False, None),
+}
 
 
 @dataclass(frozen=True)
@@ -131,48 +155,23 @@ class SimpleForm:
         return ("SOFAM",)
 
     @property
+    def facts(self) -> FamilyFacts:
+        tag, *params = self.canonical_key()
+        return _FAMILY_FACTS[tag](*params)
+
+    @property
     def real_rank(self) -> int:
-        key = self.canonical_key()
-        tag = key[0]
-        if tag == "A":
-            return key[1]
-        if tag == "C":
-            return key[1]
-        if tag == "Dstar":
-            return key[1] // 2
-        if tag in ("D4", "SO", "SOFAM"):
-            return 2
-        if tag == "E6":
-            return 2
-        return 3  # E7
+        return self.facts.real_rank
 
     @property
     def tube_type(self) -> bool:
-        key = self.canonical_key()
-        tag = key[0]
-        if tag == "A":
-            return key[1] == key[2]
-        if tag == "C":
-            return True
-        if tag == "Dstar":
-            return key[1] % 2 == 0
-        if tag in ("D4", "SO", "SOFAM"):
-            return True
-        if tag == "E6":
-            return False
-        return True  # E7
+        return self.facts.tube_type
 
     @property
     def embeds_in_simply_laced(self) -> bool:
         """False for forms with two root lengths (so(odd,2), sp, so(3,2)),
         which cannot occur as regular subalgebras of simply-laced systems."""
-        key = self.canonical_key()
-        tag = key[0]
-        if tag == "SO":
-            return key[1] % 2 == 0
-        if tag in ("C", "SOFAM"):
-            return False
-        return True
+        return self.facts.embeds_in_simply_laced
 
     def __str__(self) -> str:
         f = self.family
@@ -311,22 +310,7 @@ def name_real_form(system: RootSystem, basis, marks) -> RealFormName:
         for j in range(i + 1, n):
             if system.inner(basis[i], basis[j]) != 0:
                 adj[i][j] = adj[j][i] = True
-    comps: list[list[int]] = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if adj[i][j] and not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
+    comps = [sorted(c) for c in components(n, lambda i, j: adj[i][j])]
     forms = []
     for comp in comps:
         nc = [i for i in comp if marks[i] is not RootClass.COMPACT]

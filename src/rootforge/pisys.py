@@ -1,9 +1,13 @@
 """Dynkin Pi-systems, generated subroot systems, and Weyl equivalence.
 
 A Pi-system is a linearly independent set of roots no two of which differ
-by a root; it seeds a subroot system via integer-span intersection with the
-ambient root set.  Linear algebra is exact rational throughout (Fraction),
-and span membership additionally demands an integral solution.
+by a root.  By Dynkin (1952) it is a base of the subroot system it
+generates, so that subsystem is computed as the closure of the generators
+under their own reflections, the same loop that builds a root system from
+its simple roots.  The contract is span_Z(generators) intersected with the
+ambient roots; the tests check the closure against an independent oracle
+for that set.  The linear-independence check solves exactly over the
+rationals (``rootsys.rational_solve``).
 
 The Weyl-equivalence search is a breadth-first walk of simple reflections
 acting on canonicalized root sets.  Exploration order is the node index
@@ -24,7 +28,16 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .hermitian import HermitianMarking, RootClass, classify_root
-from .rootsys import Root, RootSystem, is_positive, reflect, simple_reflect
+from .rootsys import (
+    Root,
+    RootSystem,
+    cartan_integer,
+    components,
+    is_positive,
+    rational_solve,
+    reflect,
+    simple_reflect,
+)
 
 WeylWord = tuple[Root, ...]
 
@@ -42,43 +55,14 @@ class PiSystem:
 
 @dataclass(frozen=True)
 class SubrootSystem:
-    """roots = span_Z(basis) intersected with the ambient root set."""
+    """roots = span_Z(basis) intersected with the ambient root set.
+
+    ``generate`` computes it as the reflection closure of the basis.
+    """
 
     system: RootSystem
     roots: frozenset[Root]
     basis: tuple[Root, ...]
-
-
-def _rational_solve(columns: list[Root], target) -> tuple[Fraction, ...] | None:
-    """Solve sum x_k columns[k] = target exactly; None when inconsistent.
-
-    Columns are assumed linearly independent, so a solution is unique.
-    """
-    n = len(target)
-    k = len(columns)
-    m = [[Fraction(columns[c][r]) for c in range(k)] + [Fraction(target[r])] for r in range(n)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(k):
-        p = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if p is None:
-            continue
-        m[row], m[p] = m[p], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, n):
-        if m[r][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for r, c in pivots:
-        sol[c] = m[r][k]
-    return tuple(sol)
 
 
 def _dependency_witness(vectors: list[Root]) -> tuple[Fraction, ...] | None:
@@ -86,7 +70,7 @@ def _dependency_witness(vectors: list[Root]) -> tuple[Fraction, ...] | None:
     k = len(vectors)
     for drop in range(k):
         rest = vectors[:drop] + vectors[drop + 1:]
-        sol = _rational_solve(rest, vectors[drop])
+        sol = rational_solve(rest, vectors[drop])
         if sol is not None:
             witness = list(sol[:drop]) + [Fraction(-1)] + list(sol[drop:])
             return tuple(witness)
@@ -114,82 +98,31 @@ def check_pi_system(system: RootSystem, generators) -> PiSystem:
     return PiSystem(system=system, generators=gens)
 
 
-def _det_inverse(m: list[list[int]]):
-    """Exact determinant and inverse of a small integer matrix."""
-    k = len(m)
-    a = [[Fraction(m[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)]
-         for i in range(k)]
-    det = Fraction(1)
-    for col in range(k):
-        p = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if p is None:
-            return Fraction(0), None
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-            det = -det
-        det *= a[col][col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = [row[k:] for row in a]
-    return det, inv
-
-
-def integer_membership_solver(gens: list[Root]):
-    """Map a vector to its integer coordinates over ``gens``, or None.
-
-    One-time pivot analysis turns each membership test into integer
-    arithmetic: solve on a full-rank row subset by the adjugate, check
-    divisibility, then verify against the whole matrix.
-    """
-    k = len(gens)
-    n = len(gens[0])
-    work = [[Fraction(gens[c][r]) for c in range(k)] for r in range(n)]
-    rows: list[int] = []
-    used = [False] * n
-    for c in range(k):
-        p = next((r for r in range(n) if not used[r] and work[r][c] != 0), None)
-        if p is None:
-            raise LinearlyDependent(tuple())
-        rows.append(p)
-        used[p] = True
-        for r in range(n):
-            if r != p and work[r][c] != 0:
-                f = work[r][c] / work[p][c]
-                work[r] = [a - f * b for a, b in zip(work[r], work[p])]
-    square = [[gens[c][r] for c in range(k)] for r in rows]
-    det, inv = _det_inverse(square)
-    deti = int(det)
-    adj = [[int(det * inv[i][j]) for j in range(k)] for i in range(k)]
-
-    def solve(vec) -> tuple[int, ...] | None:
-        sub = [vec[r] for r in rows]
-        coords = []
-        for i in range(k):
-            num = sum(adj[i][j] * sub[j] for j in range(k))
-            q, rem = divmod(num, deti)
-            if rem:
-                return None
-            coords.append(q)
-        for r in range(n):
-            if sum(gens[c][r] * coords[c] for c in range(k)) != vec[r]:
-                return None
-        return tuple(coords)
-
-    return solve
-
-
 def generate(pi: PiSystem) -> SubrootSystem:
-    """Integer span of the generators intersected with the ambient roots."""
+    """The subroot system with base ``pi``: close the generators under s_g.
+
+    s_g(beta) = beta - <beta, g^vee> g, and <beta, g^vee> is linear in beta
+    with the integer Cartan numbers <alpha_j, g^vee> as coefficients.
+    """
     system = pi.system
-    gens = list(pi.generators)
-    if not gens:
-        return SubrootSystem(system=system, roots=frozenset(), basis=())
-    solve = integer_membership_solver(gens)
-    members = {r for r in system.roots if solve(r) is not None}
+    coroots = [
+        (g, [cartan_integer(system, g, s) for s in system.simple_roots])
+        for g in pi.generators
+    ]
+    roots = set(pi.generators)
+    frontier = list(roots)
+    while frontier:
+        beta = frontier.pop()
+        for g, coroot in coroots:
+            c = sum(x * b for x, b in zip(coroot, beta) if b)
+            if c == 0:
+                continue
+            img = tuple(b - c * x for b, x in zip(beta, g))
+            if img not in roots:
+                roots.add(img)
+                frontier.append(img)
+    # keep the ambient's own root tuples, so a subsystem stores no roots of its own
+    members = {r for r in system.roots if r in roots}
     return SubrootSystem(system=system, roots=frozenset(members), basis=pi.generators)
 
 
@@ -229,24 +162,8 @@ def rebase_hermitian(m: HermitianMarking, sub: SubrootSystem):
     basis = positive_basis(sub)
     marks = tuple(classify_root(m, b) for b in basis)
     system = m.system
-    n = len(basis)
-    adj = [[system.inner(basis[i], basis[j]) != 0 for j in range(n)] for i in range(n)]
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and adj[i][j] and not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        nc = sum(1 for i in comp if marks[i] is not RootClass.COMPACT)
-        if nc > 1:
+    for comp in components(len(basis), lambda i, j: system.inner(basis[i], basis[j]) != 0):
+        if sum(1 for i in comp if marks[i] is not RootClass.COMPACT) > 1:
             raise RootForgeError(
                 "internal: rebased component with two noncompact roots"
             )
@@ -273,7 +190,15 @@ def _bfs_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get(BFS_BUDGET_ENV)
-    return int(env) if env else BFS_BUDGET_DEFAULT
+    if not env:
+        return BFS_BUDGET_DEFAULT
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise RootForgeError(f"{BFS_BUDGET_ENV} must be a positive integer, got {env!r}")
+    return value
 
 
 def weyl_equivalent(

@@ -21,11 +21,12 @@ values may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import NotARoot, NotFiniteType
+from .errors import NotARoot, NotFiniteType, RootForgeError
 
 Root = tuple[int, ...]
 
@@ -47,7 +48,6 @@ class CartanMatrix:
     """
 
     entries: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         entries = _as_matrix(self.entries)
@@ -65,11 +65,6 @@ class CartanMatrix:
                     raise NotFiniteType(f"off-diagonal A[{i}][{j}] out of range")
                 if (entries[i][j] == 0) != (entries[j][i] == 0):
                     raise NotFiniteType(f"zero pattern asymmetric at ({i},{j})")
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != n:
-                raise NotFiniteType("label count does not match rank")
-            object.__setattr__(self, "labels", labels)
         # Computing the symmetrizer also proves finiteness (positive definite B).
         object.__setattr__(self, "_symmetrizer", _symmetrizer(entries))
 
@@ -125,6 +120,73 @@ class CartanMatrix:
         return cls(entries=tuple(tuple(row) for row in a))
 
 
+def components(n: int, adjacent) -> list[list[int]]:
+    """Connected components of the graph on nodes 0..n-1.
+
+    ``adjacent(i, j)`` is the edge test.  Components come in order of their
+    smallest node; each lists its nodes in discovery order, so every node
+    after the first is adjacent to an earlier one.
+    """
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for i in comp:
+            for j in range(n):
+                if not seen[j] and adjacent(i, j):
+                    seen[j] = True
+                    comp.append(j)
+        out.append(comp)
+    return out
+
+
+def rational_solve(columns, target) -> tuple[Fraction, ...] | None:
+    """Solve sum x_k columns[k] = target exactly; None when inconsistent.
+
+    Columns are integer vectors; target entries are ints or Fractions.
+    This is the one Gaussian elimination of the package.  It runs
+    fraction-free (Bareiss) Gauss-Jordan on integers: after each pivot every
+    entry is a minor of the scaled input, so the division by the previous
+    pivot is exact.  When the columns are linearly dependent, free unknowns
+    are set to 0.
+    """
+    n = len(target)
+    k = len(columns)
+    # ints and Fractions both carry numerator and denominator
+    scale = math.lcm(*(t.denominator for t in target))
+    m = [
+        [int(columns[c][r]) for c in range(k)]
+        + [target[r].numerator * (scale // target[r].denominator)]
+        for r in range(n)
+    ]
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    prev = 1
+    for col in range(k):
+        p = next((r for r in range(row, n) if m[r][col]), None)
+        if p is None:
+            continue
+        m[row], m[p] = m[p], m[row]
+        pivot_row = m[row]
+        pv = pivot_row[col]
+        for r in range(n):
+            if r != row:
+                f = m[r][col]
+                m[r] = [(pv * a - f * b) // prev for a, b in zip(m[r], pivot_row)]
+        pivots.append((row, col))
+        prev = pv
+        row += 1
+    if any(m[r][k] for r in range(row, n)):
+        return None
+    sol = [Fraction(0)] * k
+    for r, c in pivots:
+        sol[c] = Fraction(m[r][k], m[r][c] * scale)
+    return tuple(sol)
+
+
 def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Minimal positive integers d with d_i A[i][j] = d_j A[j][i].
 
@@ -132,60 +194,38 @@ def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     symmetrized matrix fails to be positive definite.
     """
     n = len(a)
-    d: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        comp = [start]
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if a[i][j] == 0 or i == j:
-                    continue
-                want = d[i] * Fraction(a[i][j], a[j][i])
-                if d[j] is None:
-                    d[j] = want
-                    comp.append(j)
-                    stack.append(j)
-                elif d[j] != want:
-                    raise NotFiniteType("Cartan matrix is not symmetrizable")
+    d = [Fraction(0)] * n
+    for comp in components(n, lambda i, j: a[i][j] != 0):
+        d[comp[0]] = Fraction(1)
+        for j in comp[1:]:
+            i = next(i for i in comp if d[i] and a[i][j])
+            d[j] = d[i] * Fraction(a[i][j], a[j][i])
         # clear denominators and common factors within the component
-        denom = 1
+        denom = math.lcm(*(d[i].denominator for i in comp))
+        g = math.gcd(*(int(d[i] * denom) for i in comp))
         for i in comp:
-            denom = denom * d[i].denominator // _gcd(denom, d[i].denominator)
-        vals = [int(d[i] * denom) for i in comp]
-        g = 0
-        for v in vals:
-            g = _gcd(g, v)
-        for i, v in zip(comp, vals):
-            d[i] = Fraction(v // g)
-    dd = tuple(int(x) for x in d)  # type: ignore[arg-type]
+            d[i] = d[i] * denom / g
+    dd = tuple(int(x) for x in d)
     b = [[dd[i] * a[i][j] for j in range(n)] for i in range(n)]
+    if any(b[i][j] != b[j][i] for i in range(n) for j in range(i)):
+        raise NotFiniteType("Cartan matrix is not symmetrizable")
     if not _positive_definite(b):
         raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
     return dd
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _positive_definite(b: list[list[int]]) -> bool:
-    """Exact leading-principal-minor test on a symmetric integer matrix."""
-    n = len(b)
-    m = [[Fraction(x) for x in row] for row in b]
-    for k in range(n):
-        if m[k][k] <= 0:
+    """Sylvester's test on a symmetric integer matrix, one pivot at a time.
+
+    The k-th pivot B[k][k] - b_k . B_{<k}^{-1} b_k is the ratio of the k-th
+    and (k-1)-th leading principal minors; all of them must be positive.
+    Each earlier pivot being positive makes B_{<k} invertible.
+    """
+    for k in range(len(b)):
+        bk = b[k][:k]
+        x = rational_solve([row[:k] for row in b[:k]], bk)
+        if b[k][k] - sum(xi * bi for xi, bi in zip(x, bk)) <= 0:
             return False
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
     return True
 
 
@@ -331,12 +371,13 @@ def family_system(family: str, rank: int) -> RootSystem:
     return build_root_system(CartanMatrix.from_family(family, rank))
 
 
-def system_from_json(data: dict) -> CartanMatrix:
+def system_from_json(data) -> CartanMatrix:
     """Read the structured-text schema: {"family": .., "rank": ..} or {"cartan": [[..]]}."""
-    if "cartan" in data:
-        return CartanMatrix(entries=_as_matrix(data["cartan"]))
-    return CartanMatrix.from_family(str(data["family"]), int(data["rank"]))
-
-
-def system_to_json(sys: RootSystem) -> dict:
-    return {"cartan": [list(row) for row in sys.cartan.entries]}
+    try:
+        if "cartan" in data:
+            return CartanMatrix(entries=_as_matrix(data["cartan"]))
+        if "family" in data and "rank" in data:
+            return CartanMatrix.from_family(str(data["family"]), int(data["rank"]))
+    except (TypeError, ValueError) as e:
+        raise RootForgeError(f"malformed system description: {e}") from None
+    raise RootForgeError('system description needs "cartan", or "family" and "rank"')

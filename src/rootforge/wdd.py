@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IncompleteEmbedding, NonTraceless, RootForgeError
-from .rootsys import Root, RootSystem, family_system
-
-WeightVector = tuple[Fraction, ...]
+from .rootsys import Root, RootSystem, family_system, rational_solve
 
 
 def _fractions(values) -> tuple[Fraction, ...]:
@@ -70,20 +68,13 @@ def weights_of(h: CorootVector) -> WeightedDiagram:
 
 
 def coroot_of_weights(w: WeightedDiagram) -> CorootVector:
-    """Exact inverse of weights_of (solve the transpose Cartan system)."""
-    n = w.system.rank
-    a = w.system.cartan.entries
-    m = [[Fraction(a[j][i]) for j in range(n)] + [w.weights[i]] for i in range(n)]
-    for col in range(n):
-        p = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[p] = m[p], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return CorootVector(system=w.system, coords=tuple(m[i][n] for i in range(n)))
+    """Exact inverse of weights_of: solve A^T c = w.
+
+    Column j of A^T is row j of A; a finite-type Cartan matrix is
+    invertible, so the solution exists and is unique.
+    """
+    coords = rational_solve(w.system.cartan.entries, w.weights)
+    return CorootVector(system=w.system, coords=coords)
 
 
 def reflect_weights(w: WeightedDiagram, i: int) -> WeightedDiagram:

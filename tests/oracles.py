@@ -57,6 +57,18 @@ def _solve_exact(columns, target):
     return sol
 
 
+def span_roots(system, gens) -> frozenset:
+    """span_Z(gens) intersected with the root set: the roots with an
+    integral solution over the generators.  Independent of the closure
+    that ``generate`` runs."""
+    out = set()
+    for r in system.roots:
+        sol = _solve_exact(list(gens), r)
+        if sol is not None and all(x.denominator == 1 for x in sol):
+            out.add(r)
+    return frozenset(out)
+
+
 def d_model_roots(n: int) -> set[tuple[int, ...]]:
     """Type D_n root set in simple-root coordinates.
 

@@ -26,6 +26,16 @@ from rootforge.catalog import (
     validate_entry,
 )
 from rootforge.errors import LinearlyDependent, RootForgeError
+from rootforge.pisys import generate
+
+from oracles import span_roots
+
+# the 23 ambients whose tables verify-paper scans
+SCANNED_AMBIENTS = (
+    [f"su({p},{q})" for p in range(1, 8) for q in range(p, 8) if p + q <= 8]
+    + [f"so*({2 * p})" for p in (4, 5, 6)]
+    + ["so(6,2)", "so(8,2)", "e6(-14)", "e7(-25)"]
+)
 
 E6_BETA1 = (0, 1, 2, 2, 1, 1)
 E7_BETA3 = (0, 0, 0, 1, 1, 1, 1)
@@ -89,6 +99,13 @@ class TestTables:
             maximal_hermitian_regular_subalgebras("sp(4,R)")
         with pytest.raises(UnsupportedAmbient):
             maximal_hermitian_regular_subalgebras("su(1,5)+su(1,1)")
+
+    @pytest.mark.parametrize("ambient", SCANNED_AMBIENTS)
+    def test_generate_matches_span_oracle(self, ambient):
+        system, _ = ambient_context(ambient)
+        for row in maximal_hermitian_regular_subalgebras(ambient):
+            pi = check_pi_system(system, row.generators)
+            assert generate(pi).roots == span_roots(system, row.generators)
 
     def test_gamma_and_beta_vectors_are_roots(self, e6, e7):
         assert (1, 2, 3, 2, 1, 2) in e6.roots

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rootforge.cli import main
 
 
@@ -220,3 +222,31 @@ class TestUsage:
             "--gens", "nonsense",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,contents,env",
+        [
+            (["pisystem", "check", "--family", "A", "--rank", "2", "--gens-file", "{file}"],
+             '{"x": 1}', {}),
+            (["build", "--system-file", "{file}"], "not json", {}),
+            (["build", "--system-file", "{file}"], '{"rank": 3}', {}),
+            (["wdd", "push", "--family", "A", "--rank", "2", "--embedding", "{file}",
+              "--coroot", "1"], '{"embedding": 5}', {}),
+            (["wdd", "dominate", "--family", "A", "--rank", "2", "--weights", "1/0,1"],
+             None, {}),
+            (["pisystem", "equiv", "--family", "A", "--rank", "3", "--gens", "[1,0,0]",
+              "--gens-b", "[0,1,0]"], None, {"ROOTFORGE_BFS_BUDGET": "abc"}),
+        ],
+        ids=["gens-missing-key", "system-not-json", "system-missing-key",
+             "embedding-wrong-shape", "weights-zero-denominator", "budget-not-integer"],
+    )
+    def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, contents, env):
+        path = tmp_path / "input.json"
+        if contents is not None:
+            path.write_text(contents)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, _, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ")

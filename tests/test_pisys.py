@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from rootforge import (
     DifferenceIsRoot,
     LinearlyDependent,
     RootClass,
+    RootForgeError,
     SearchBudgetExceeded,
     apply_word,
     apply_word_to_root,
@@ -37,8 +40,7 @@ class TestCheckPiSystem:
     def test_sum_relation_dependent(self, e6):
         with pytest.raises(LinearlyDependent) as exc:
             check_pi_system(e6, (A1, A2, (1, 1, 0, 0, 0, 0)))
-        witness = exc.value.witness
-        assert len(witness) == 3
+        assert exc.value.witness == (Fraction(-1), Fraction(-1), Fraction(1))
 
     def test_difference_is_root(self, e6):
         with pytest.raises(DifferenceIsRoot) as exc:
@@ -177,6 +179,14 @@ class TestWeylEquivalence:
         bottom = span_subsystem(e6, (R3_ROOT, A1, A2))
         top = span_subsystem(e6, (E6_BETA1, A1, A2))
         with pytest.raises(SearchBudgetExceeded):
+            weyl_equivalent(e6, bottom, top)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_env_budget_rejected(self, e6, monkeypatch, value):
+        monkeypatch.setenv("ROOTFORGE_BFS_BUDGET", value)
+        bottom = span_subsystem(e6, (R3_ROOT, A1, A2))
+        top = span_subsystem(e6, (E6_BETA1, A1, A2))
+        with pytest.raises(RootForgeError, match="ROOTFORGE_BFS_BUDGET"):
             weyl_equivalent(e6, bottom, top)
 
     def test_word_is_reproducible(self, e6):

@@ -11,10 +11,13 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rootforge import (
+    CartanMatrix,
     CorootVector,
     RootClass,
+    RootSystem,
     WeightedDiagram,
     apply_word,
+    build_root_system,
     check_pi_system,
     coroot_of_weights,
     dominate,
@@ -33,6 +36,8 @@ from rootforge.errors import RootForgeError
 from rootforge.hermitian import HermitianMarking
 from rootforge.wdd import reflect_weights
 
+from oracles import span_roots
+
 SETTINGS = settings(
     max_examples=300,
     deadline=None,
@@ -42,11 +47,18 @@ SETTINGS = settings(
 
 SMALL_POOL = [("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5)]
 FULL_POOL = SMALL_POOL + [("E", 6)]
+F4 = build_root_system(CartanMatrix(entries=(
+    (2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2),
+)))
+G2 = build_root_system(CartanMatrix(entries=((2, -1), (-3, 2))))
+SPAN_POOL = FULL_POOL + [("B", 3), ("B", 4), ("C", 3), ("C", 4), F4, G2]
 
 
 def _system(draw, pool):
-    family, rank = draw(st.sampled_from(pool))
-    return family_system(family, rank)
+    entry = draw(st.sampled_from(pool))
+    if isinstance(entry, RootSystem):  # built from an explicit Cartan matrix
+        return entry
+    return family_system(*entry)
 
 
 @st.composite
@@ -123,6 +135,13 @@ def test_generate_positive_basis_identity(case):
     assert all(is_positive(b) for b in basis)
     check_pi_system(sys, basis)
     assert span_subsystem(sys, basis).roots == sub.roots
+
+
+@SETTINGS
+@given(system_and_pi(pool=SPAN_POOL, max_size=6))
+def test_generate_matches_span_oracle(case):
+    sys, gens = case
+    assert generate(check_pi_system(sys, gens)).roots == span_roots(sys, gens)
 
 
 @SETTINGS
