@@ -44,7 +44,7 @@ from .hermitian import (
     form,
     name_real_form,
 )
-from .pisys import SubrootSystem, check_pi_system, generate, rebase_hermitian
+from .pisys import SubrootSystem, check_pi_system, generate, rebase_hermitian, span_subsystem
 from .rootsys import (
     CartanMatrix,
     RootSystem,
@@ -76,6 +76,7 @@ def _su_chain_order(p: int, q: int) -> list[int]:
     return [q + i for i in range(1, p)] + list(range(1, q + 1))
 
 
+@lru_cache(maxsize=None)
 def cartan_for_form(f: SimpleForm) -> CartanMatrix:
     """Cartan matrix of the complexification, in the family's labeling."""
     if f.family == "su":
@@ -148,7 +149,7 @@ class CatalogEntry:
         return tuple(g for _, gens in self.components for g in gens)
 
     def subsystem(self, system: RootSystem) -> SubrootSystem:
-        return generate(check_pi_system(system, self.generators))
+        return span_subsystem(system, self.generators)
 
 
 def _entry(ambient: RealFormName, source: str, *components) -> CatalogEntry:
@@ -421,9 +422,6 @@ def rows_for(name: RealFormName, s: dict[int, Vec] | None = None) -> list[Catalo
     """Table rows of a simple ambient, generators in the coordinates of ``s``."""
     if not name.is_simple:
         raise UnsupportedAmbient(f"{name} is not a simple ambient")
-    f = name.components[0]
-    if f.family == "su" and (f.a < 1 or f.b < f.a):
-        raise ParameterOutOfRange(str(name))
     if s is None:
         s = _simple_labels(ambient_context(str(name))[0])
     return _table_for(name, s)
@@ -446,11 +444,7 @@ def validate_entry(system: RootSystem, marking: HermitianMarking, entry: Catalog
         m = len(fgens)
         for i in range(m):
             for j in range(m):
-                got = (
-                    2
-                    if i == j
-                    else cartan_integer(system, fgens[i], fgens[j])
-                )
+                got = cartan_integer(system, fgens[i], fgens[j])
                 if got != expected[i][j]:
                     raise TableValidationError(
                         f"{entry.source}: Cartan integer ({i},{j}) is {got}, "
@@ -486,7 +480,7 @@ def maximal_hermitian_regular_subalgebras(ambient) -> list[CatalogEntry]:
         raise UnsupportedAmbient(f"{name} is not a simple ambient")
     name = _table_name(name.components[0])
     system, marking = ambient_context(str(name))
-    return _validated_rows(system, marking, rows_for(name, _simple_labels(system)))
+    return _validated_rows(system, marking, rows_for(name, _simple_labels(system)), set())
 
 
 def _table_name(f: SimpleForm) -> RealFormName:
@@ -497,8 +491,15 @@ def _table_name(f: SimpleForm) -> RealFormName:
     return RealFormName((f,))
 
 
-def _validated_rows(system: RootSystem, marking: HermitianMarking, rows) -> list[CatalogEntry]:
-    """Rows deduplicated on (name, generator set), each validated."""
+def _validated_rows(
+    system: RootSystem, marking: HermitianMarking, rows, checked: set
+) -> list[CatalogEntry]:
+    """Rows deduplicated on (name, generator set), each validated.
+
+    ``checked`` holds the ``components`` already validated against this
+    system; they are everything validate_entry checks (``source`` only
+    labels its errors), so each is validated once.
+    """
     out = []
     seen = set()
     for row in rows:
@@ -506,7 +507,9 @@ def _validated_rows(system: RootSystem, marking: HermitianMarking, rows) -> list
         if sig in seen:
             continue
         seen.add(sig)
-        validate_entry(system, marking, row)
+        if row.components not in checked:
+            validate_entry(system, marking, row)
+            checked.add(row.components)
         out.append(row)
     return out
 
@@ -548,8 +551,7 @@ class InclusionChain:
         return self.steps[-1].generators if self.steps else ()
 
     def subsystem(self, system: RootSystem) -> SubrootSystem:
-        gens = self.composed_generators or system.simple_roots
-        return generate(check_pi_system(system, gens))
+        return span_subsystem(system, self.composed_generators or system.simple_roots)
 
 
 def inclusion_chains(target, ambient, max_depth: int) -> list[InclusionChain]:
@@ -568,6 +570,7 @@ def inclusion_chains(target, ambient, max_depth: int) -> list[InclusionChain]:
     system, marking = ambient_context(str(ambient_name))
     results: list[InclusionChain] = []
     seen: set = set()
+    checked: set = set()
 
     def expand(current_name: RealFormName, labels: dict[int, Vec], steps: tuple[ChainStep, ...], depth: int):
         if depth >= max_depth:
@@ -576,7 +579,7 @@ def inclusion_chains(target, ambient, max_depth: int) -> list[InclusionChain]:
             rows = rows_for(current_name, labels)
         except UnsupportedAmbient:
             return
-        for row in _validated_rows(system, marking, rows):
+        for row in _validated_rows(system, marking, rows, checked):
             step = ChainStep(name=row.name, generators=row.generators, source=row.source)
             chain_steps = steps + (step,)
             if row.name == target_name:

@@ -31,7 +31,7 @@ from .pisys import (
     span_subsystem,
     weyl_equivalent,
 )
-from .rootsys import RootSystem, build_root_system, system_from_json
+from .rootsys import RootSystem, build_root_system, strict_int, system_from_json
 
 
 class UsageError(Exception):
@@ -46,7 +46,7 @@ def _parse_vectors(text: str) -> list[tuple[int, ...]]:
             continue
         try:
             vec = json.loads(chunk)
-            out.append(tuple(int(x) for x in vec))
+            out.append(tuple(strict_int(x) for x in vec))
         except (ValueError, TypeError) as e:
             raise UsageError(f"cannot parse vector {chunk!r}: {e}") from None
     if not out:
@@ -70,7 +70,7 @@ def _read_json(path: str, convert=lambda data: data):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return convert(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise UsageError(f"cannot read {path}: {type(e).__name__}: {e}") from None
 
 
@@ -117,7 +117,7 @@ def _cmd_build(args) -> int:
 
 def _gens_of(data) -> list[tuple[int, ...]]:
     vectors = data["pi_system"] if isinstance(data, dict) else data
-    return [tuple(int(x) for x in vec) for vec in vectors]
+    return [tuple(strict_int(x) for x in vec) for vec in vectors]
 
 
 def _cmd_pisystem(args) -> int:
@@ -174,6 +174,8 @@ def _cmd_wdd(args) -> int:
     descriptor = _system_descriptor(args)
     system = build_root_system(system_from_json(descriptor))
     if args.action == "weights":
+        if not args.coroot:
+            raise UsageError("weights needs --coroot")
         coords = _parse_weights(args.coroot)
         h = wdd_mod.CorootVector(system=system, coords=coords)
         w = wdd_mod.weights_of(h)

@@ -31,11 +31,11 @@ from .hermitian import HermitianMarking, RootClass, classify_root
 from .rootsys import (
     Root,
     RootSystem,
-    cartan_integer,
     components,
     is_positive,
     rational_solve,
     reflect,
+    reflection_closure,
     simple_reflect,
 )
 
@@ -101,26 +101,12 @@ def check_pi_system(system: RootSystem, generators) -> PiSystem:
 def generate(pi: PiSystem) -> SubrootSystem:
     """The subroot system with base ``pi``: close the generators under s_g.
 
-    s_g(beta) = beta - <beta, g^vee> g, and <beta, g^vee> is linear in beta
-    with the integer Cartan numbers <alpha_j, g^vee> as coefficients.
+    ``rootsys.reflection_closure`` with each generator's Cartan row, the
+    same loop that builds a root system from its simple roots.
     """
     system = pi.system
-    coroots = [
-        (g, [cartan_integer(system, g, s) for s in system.simple_roots])
-        for g in pi.generators
-    ]
-    roots = set(pi.generators)
-    frontier = list(roots)
-    while frontier:
-        beta = frontier.pop()
-        for g, coroot in coroots:
-            c = sum(x * b for x, b in zip(coroot, beta) if b)
-            if c == 0:
-                continue
-            img = tuple(b - c * x for b, x in zip(beta, g))
-            if img not in roots:
-                roots.add(img)
-                frontier.append(img)
+    rows = system.cartan_rows
+    roots = reflection_closure([(g, rows[g]) for g in pi.generators], len(system.roots))
     # keep the ambient's own root tuples, so a subsystem stores no roots of its own
     members = {r for r in system.roots if r in roots}
     return SubrootSystem(system=system, roots=frozenset(members), basis=pi.generators)
@@ -180,10 +166,8 @@ def apply_word(system: RootSystem, word, roots) -> frozenset[Root]:
 
 def apply_word_to_root(system: RootSystem, word, root) -> Root:
     """Apply reflections left-to-right to a single root."""
-    current = system.require_root(root)
-    for w in word:
-        current = reflect(system, w, current)
-    return current
+    (image,) = apply_word(system, word, (root,))
+    return image
 
 
 def _bfs_budget(budget: int | None) -> int:

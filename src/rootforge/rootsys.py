@@ -2,9 +2,11 @@
 
 Roots are stored as integer coefficient vectors over the simple roots, so a
 root is just a ``tuple[int, ...]`` of length ``rank``.  The bilinear form is
-B = D·A where D is the minimal positive integer symmetrizer of the Cartan
-matrix A; every inner product is an exact integer and every Cartan integer
-an exact ratio of integers.  No floating point is used anywhere.
+the Gram matrix B = D·A, D the minimal positive integer symmetrizer of the
+Cartan matrix A, computed once and kept.  Every Cartan number is read from
+one table, ``RootSystem.cartan_rows``, and one loop, ``reflection_closure``,
+builds both root systems and the subsystems of Pi-systems.  No floating
+point is used anywhere.
 
 Node numbering conventions for the built-in families (``from_family``):
 
@@ -35,8 +37,24 @@ CLOSURE_BOUND_DEFAULT = 10_000
 _FAMILIES = ("A", "B", "C", "D", "E")
 
 
+def strict_int(x) -> int:
+    """``x`` as an int; ValueError unless it already has an integer value.
+
+    ``int()`` alone truncates 1.9, parses "1" and overflows on 1e400 (JSON
+    reads it as infinity); input files and the command line must not pass
+    any of those through.
+    """
+    try:
+        value = int(x)
+    except (OverflowError, TypeError, ValueError):
+        value = None
+    if value is None or value != x:
+        raise ValueError(f"not an integer: {x!r}")
+    return value
+
+
 def _as_matrix(entries) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in entries)
+    return tuple(tuple(strict_int(x) for x in row) for row in entries)
 
 
 @dataclass(frozen=True)
@@ -65,8 +83,8 @@ class CartanMatrix:
                     raise NotFiniteType(f"off-diagonal A[{i}][{j}] out of range")
                 if (entries[i][j] == 0) != (entries[j][i] == 0):
                     raise NotFiniteType(f"zero pattern asymmetric at ({i},{j})")
-        # Computing the symmetrizer also proves finiteness (positive definite B).
-        object.__setattr__(self, "_symmetrizer", _symmetrizer(entries))
+        # Computing B also proves finiteness (positive definite B).
+        object.__setattr__(self, "_gram", _gram(entries))
 
     @property
     def rank(self) -> int:
@@ -74,7 +92,13 @@ class CartanMatrix:
 
     @property
     def symmetrizer(self) -> tuple[int, ...]:
-        return self._symmetrizer  # type: ignore[attr-defined]
+        """d_i = <a_i, a_i>/2, read off the diagonal of B."""
+        return tuple(self.gram[i][i] // 2 for i in range(self.rank))
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """B = D·A: B[i][j] = <a_i, a_j>, symmetric and positive definite."""
+        return self._gram  # type: ignore[attr-defined]
 
     @classmethod
     def from_family(cls, family: str, rank: int) -> "CartanMatrix":
@@ -187,8 +211,8 @@ def rational_solve(columns, target) -> tuple[Fraction, ...] | None:
     return tuple(sol)
 
 
-def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i A[i][j] = d_j A[j][i].
+def _gram(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """B = D·A for the minimal positive integers d with d_i A[i][j] = d_j A[j][i].
 
     Raises NotFiniteType when no consistent symmetrizer exists or when the
     symmetrized matrix fails to be positive definite.
@@ -205,16 +229,15 @@ def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         g = math.gcd(*(int(d[i] * denom) for i in comp))
         for i in comp:
             d[i] = d[i] * denom / g
-    dd = tuple(int(x) for x in d)
-    b = [[dd[i] * a[i][j] for j in range(n)] for i in range(n)]
+    b = tuple(tuple(int(d[i]) * x for x in a[i]) for i in range(n))
     if any(b[i][j] != b[j][i] for i in range(n) for j in range(i)):
         raise NotFiniteType("Cartan matrix is not symmetrizable")
     if not _positive_definite(b):
         raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
-    return dd
+    return b
 
 
-def _positive_definite(b: list[list[int]]) -> bool:
+def _positive_definite(b) -> bool:
     """Sylvester's test on a symmetric integer matrix, one pivot at a time.
 
     The k-th pivot B[k][k] - b_k . B_{<k}^{-1} b_k is the ratio of the k-th
@@ -270,42 +293,49 @@ class RootSystem:
         return r
 
     def inner(self, x, y) -> int:
-        """<x, y> under B = D·A; exact, integer for integer vectors."""
-        a = self.cartan.entries
-        d = self.cartan.symmetrizer
-        n = self.rank
+        """<x, y> under the stored Gram matrix B = D·A; exact."""
         total = 0
-        for i in range(n):
-            xi = x[i]
-            if not xi:
-                continue
-            di = d[i]
-            row = a[i]
-            total += xi * di * sum(row[j] * y[j] for j in range(n) if y[j])
+        for xi, row in zip(x, self.cartan.gram):
+            if xi:
+                total += xi * sum(b * yj for b, yj in zip(row, y) if yj)
         return total
 
+    @cached_property
+    def cartan_rows(self) -> dict[Root, tuple[int, ...]]:
+        """Each root g -> its row (<alpha_j, g^vee>)_j = (2<alpha_j, g>/<g, g>)_j.
 
-def build_root_system(cartan: CartanMatrix, max_roots: int = CLOSURE_BOUND_DEFAULT) -> RootSystem:
-    """Close the simple roots under simple reflections.
+        <beta, g^vee> is the row dotted with beta; alpha_i's row is row i of A.
+        """
+        gram = self.cartan.gram
+        rows = {}
+        for g in self.roots:
+            bg = [sum(b * x for b, x in zip(row, g) if x) for row in gram]
+            norm = sum(x * y for x, y in zip(g, bg))
+            if any(2 * v % norm for v in bg):
+                raise NotARoot(f"non-integral Cartan number for {g}")
+            rows[g] = tuple(2 * v // norm for v in bg)
+        return rows
 
-    For finite type this produces the full root set; if the closure exceeds
-    ``max_roots`` the matrix is affine or indefinite and NotFiniteType is
-    raised.  (Construction of the CartanMatrix already rejects those, so the
-    bound is a backstop for hand-built matrices.)
+
+def reflection_closure(pairs, max_roots: int) -> set[Root]:
+    """Close the roots g of ``pairs`` under their own reflections s_g.
+
+    Each pair is a root g with its Cartan row (<alpha_j, g^vee>)_j, so
+    s_g(beta) = beta - (row . beta) g; only the nonzero coordinates of g
+    change.  Raises NotFiniteType once the closure passes ``max_roots``.
     """
-    n = cartan.rank
-    a = cartan.entries
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[Root] = set(simples)
-    frontier: list[Root] = list(simples)
+    moves = [(row, [(j, x) for j, x in enumerate(g) if x]) for g, row in pairs]
+    frontier = [g for g, _ in pairs]
+    roots = set(frontier)
     while frontier:
         beta = frontier.pop()
-        for i in range(n):
-            c = sum(a[i][j] * beta[j] for j in range(n) if beta[j])
+        for row, support in moves:
+            c = sum(x * b for x, b in zip(row, beta) if b)
             if c == 0:
                 continue
             img = list(beta)
-            img[i] -= c
+            for j, x in support:
+                img[j] -= c * x
             new = tuple(img)
             if new not in roots:
                 roots.add(new)
@@ -315,7 +345,18 @@ def build_root_system(cartan: CartanMatrix, max_roots: int = CLOSURE_BOUND_DEFAU
                         f"reflection closure exceeded {max_roots} roots; "
                         "matrix is not of finite type"
                     )
-    roots.update(tuple(-x for x in r) for r in set(roots))
+    return roots
+
+
+def build_root_system(cartan: CartanMatrix, max_roots: int = CLOSURE_BOUND_DEFAULT) -> RootSystem:
+    """Close the simple roots, with the rows of A, under simple reflections.
+
+    Every root is W-conjugate to a simple root, and s_i(alpha_i) = -alpha_i,
+    so the closure is the whole root set.  ``max_roots`` is a backstop: the
+    CartanMatrix constructor already rejects affine and indefinite types.
+    """
+    simples = [tuple(int(j == i) for j in range(cartan.rank)) for i in range(cartan.rank)]
+    roots = reflection_closure(list(zip(simples, cartan.entries)), max_roots)
     return RootSystem(cartan=cartan, roots=frozenset(roots))
 
 
@@ -331,22 +372,17 @@ def is_positive(root) -> bool:
 
 
 def cartan_integer(sys: RootSystem, alpha, beta) -> int:
-    """a_{alpha,beta} = 2<alpha,beta>/<alpha,alpha>, always an integer for roots."""
+    """a_{alpha,beta} = 2<alpha,beta>/<alpha,alpha> = <beta, alpha^vee>, an integer."""
     a = sys.require_root(alpha)
     b = sys.require_root(beta)
-    num = 2 * sys.inner(a, b)
-    den = sys.inner(a, a)
-    q, r = divmod(num, den)
-    if r:
-        raise NotARoot(f"non-integral Cartan number for {a}, {b}")
-    return q
+    return sum(x * y for x, y in zip(sys.cartan_rows[a], b) if y)
 
 
 def reflect(sys: RootSystem, alpha, beta) -> Root:
     """s_alpha(beta) = beta - a_{alpha,beta}·alpha; stays inside the root set."""
     a = sys.require_root(alpha)
     b = sys.require_root(beta)
-    c = cartan_integer(sys, a, b)
+    c = sum(x * y for x, y in zip(sys.cartan_rows[a], b) if y)
     img = tuple(bx - c * ax for ax, bx in zip(a, b))
     if img not in sys.roots:
         raise NotARoot(f"reflection left the root set at {img}")
@@ -377,7 +413,7 @@ def system_from_json(data) -> CartanMatrix:
         if "cartan" in data:
             return CartanMatrix(entries=_as_matrix(data["cartan"]))
         if "family" in data and "rank" in data:
-            return CartanMatrix.from_family(str(data["family"]), int(data["rank"]))
+            return CartanMatrix.from_family(str(data["family"]), strict_int(data["rank"]))
     except (TypeError, ValueError) as e:
         raise RootForgeError(f"malformed system description: {e}") from None
     raise RootForgeError('system description needs "cartan", or "family" and "rank"')

@@ -138,6 +138,18 @@ def e8_model_roots() -> list[tuple[Fraction, ...]]:
     return roots
 
 
+def cartan_number(cartan, symmetrizer, a, b) -> Fraction:
+    """2<a,b>/<a,a> under the Gram matrix d_i A[i][j] of a given symmetrizer d."""
+    n = len(cartan)
+    gram = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+    assert all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
+
+    def inner(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+    return Fraction(2 * inner(a, b), inner(a, a))
+
+
 def e7_model_count() -> int:
     """E7 roots counted inside E8 via the v0 = v1 slice."""
     return sum(1 for v in e8_model_roots() if v[0] == v[1])

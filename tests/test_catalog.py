@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+import rootforge.catalog as catalog_mod
 from rootforge import (
     MixedLengthUnsupported,
     ParameterOutOfRange,
@@ -280,6 +281,20 @@ class TestChains:
     def test_depth_validation(self):
         with pytest.raises(ParameterOutOfRange):
             inclusion_chains("su(2,2)", "e6(-14)", 0)
+
+    def test_search_validates_each_row_once(self, monkeypatch):
+        # components are everything validate_entry checks; source only labels errors
+        validated = []
+        original = catalog_mod.validate_entry
+
+        def recording(system, marking, entry):
+            validated.append(entry.components)
+            return original(system, marking, entry)
+
+        monkeypatch.setattr(catalog_mod, "validate_entry", recording)
+        assert inclusion_chains("su(2,2)", "e7(-25)", 4)
+        assert validated
+        assert len(validated) == len(set(validated))
 
     def test_chain_generators_valid_at_top(self, e6):
         for c in inclusion_chains("su(2,2)", "e6(-14)", 3):

@@ -1,8 +1,20 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rootforge import CartanMatrix, NotFiniteType
 from rootforge.cli import main
+from rootforge.pisys import BFS_BUDGET_ENV
+
+
+# sha256 of the whole `verify-paper --json` report, trailing newline included
+VERIFY_PAPER_SHA256 = "dc592edafa6e508c9c598d44a0108399a3e01a74dcc36285b31cfb0741add439"
 
 
 def run(capsys, *argv):
@@ -199,6 +211,7 @@ class TestVerify:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["overall"] == "pass"
+        assert hashlib.sha256(out1.encode()).hexdigest() == VERIFY_PAPER_SHA256
 
     def test_only_filter(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--only", "lemma31")
@@ -236,9 +249,25 @@ class TestUsage:
              None, {}),
             (["pisystem", "equiv", "--family", "A", "--rank", "3", "--gens", "[1,0,0]",
               "--gens-b", "[0,1,0]"], None, {"ROOTFORGE_BFS_BUDGET": "abc"}),
+            (["build", "--system-file", "{file}"], '{"cartan": [[2,-1.9],[-1,2]]}', {}),
+            (["build", "--system-file", "{file}"], '{"family": "A", "rank": 2.7}', {}),
+            (["build", "--system-file", "{file}"], '{"cartan": [[2,-1],[-1,1e400]]}', {}),
+            (["pisystem", "generate", "--family", "A", "--rank", "2", "--gens", "[1.9,0]"],
+             None, {}),
+            (["pisystem", "generate", "--family", "A", "--rank", "2", "--gens", '["1",0]'],
+             None, {}),
+            (["pisystem", "generate", "--family", "A", "--rank", "2", "--gens", "[1e400,0]"],
+             None, {}),
+            (["pisystem", "generate", "--family", "A", "--rank", "2", "--gens-file", "{file}"],
+             '{"pi_system": [[1e400,0]]}', {}),
+            (["wdd", "push", "--family", "A", "--rank", "2", "--embedding", "{file}",
+              "--coroot", "1"], '{"embedding": [[1e400,0]]}', {}),
         ],
         ids=["gens-missing-key", "system-not-json", "system-missing-key",
-             "embedding-wrong-shape", "weights-zero-denominator", "budget-not-integer"],
+             "embedding-wrong-shape", "weights-zero-denominator", "budget-not-integer",
+             "cartan-not-integer", "rank-not-integer", "cartan-overflow",
+             "gens-not-integer", "gens-string", "gens-overflow", "gens-file-overflow",
+             "embedding-overflow"],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, contents, env):
         path = tmp_path / "input.json"
@@ -250,3 +279,127 @@ class TestUsage:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: ")
+
+
+# --------------------------------------------------------------------------
+# Fuzzed argv and input files: the exit-code contract holds for every input.
+
+BIG = "@big"  # written into JSON text as 1e400, which JSON reads as infinity
+JUNK = st.sampled_from([1.5, BIG, "1", "x", None, True, [0], {}])
+FAMILIES = ["A", "B", "C", "D", "E"]
+
+
+def _json_text(value) -> str:
+    return json.dumps(value).replace(json.dumps(BIG), "1e400")
+
+
+def _or_junk(draw, good, odds=5):
+    """``good``, or junk in one draw out of ``odds``."""
+    return draw(JUNK) if draw(st.integers(1, odds)) == odds else good
+
+
+def _vectors(draw, n):
+    """1-3 coefficient vectors: mostly distinct +-simple roots, else entries in {-1, 0, 1, 2}."""
+    out = []
+    nodes = draw(st.permutations(range(n)))
+    for i in nodes[:draw(st.integers(1, min(3, n)))]:
+        if draw(st.integers(1, 4)) < 4:
+            sign = draw(st.sampled_from([1, -1]))
+            out.append([sign * int(j == i) for j in range(n)])
+        else:
+            out.append([_or_junk(draw, draw(st.sampled_from([0, 1, -1, 2])), 40)
+                        for _ in range(draw(st.sampled_from([n, n, n + 1])))])
+    return out
+
+
+def _numbers_text(draw, n) -> str:
+    values = [_or_junk(draw, draw(st.sampled_from(["0", "1", "-1", "2", "1/2"])), 20)
+              for _ in range(draw(st.sampled_from([n, n, n, n - 1])))]
+    return ",".join(str(v) for v in values)
+
+
+def _system_file(draw, family, n):
+    if draw(st.booleans()):
+        return {"family": family, "rank": _or_junk(draw, n)}
+    try:
+        cartan = [list(row) for row in CartanMatrix.from_family(family, n).entries]
+    except NotFiniteType:
+        cartan = [[2]]
+    i, j = draw(st.integers(0, len(cartan) - 1)), draw(st.integers(0, len(cartan) - 1))
+    cartan[i][j] = _or_junk(draw, cartan[i][j], 2)
+    return {"cartan": cartan}
+
+
+@st.composite
+def _argv(draw):
+    """(argv, file contents by placeholder) over the documented subcommands."""
+    family = _or_junk(draw, draw(st.sampled_from(FAMILIES)), 10)
+    n = draw(st.integers(1, 4))
+    files = {}
+    if draw(st.booleans()):
+        files["{system}"] = _json_text(_or_junk(draw, _system_file(draw, str(family), n), 10))
+        system = ["--system-file", "{system}"]
+    else:
+        system = ["--family", str(family), "--rank", str(_or_junk(draw, n, 10))]
+
+    command = draw(st.sampled_from(["build", "pisystem", "wdd", "catalog", "verify-paper"]))
+    if command == "build":
+        argv = ["build"] + system
+    elif command == "pisystem":
+        action = draw(st.sampled_from(["check", "generate", "rebase", "name", "equiv"]))
+        argv = ["pisystem", action] + system + ["--mark", str(draw(st.integers(0, n + 1)))]
+        if draw(st.booleans()):
+            files["{file}"] = _json_text({"pi_system": _vectors(draw, n)})
+            argv += ["--gens-file", "{file}"]
+        else:
+            argv += ["--gens", ";".join(_json_text(v) for v in _vectors(draw, n))]
+        argv += ["--gens-b", ";".join(_json_text(v) for v in _vectors(draw, n))]
+    elif command == "wdd":
+        action = draw(st.sampled_from(["weights", "dominate", "admissible", "push"]))
+        argv = ["wdd", action] + system + ["--weights", _numbers_text(draw, n)]
+        if action in ("weights", "push"):
+            argv += ["--coroot", _numbers_text(draw, n if action == "weights" else 2)]
+        if action == "push":
+            files["{file}"] = _json_text({"embedding": _vectors(draw, n)})
+            argv += ["--embedding", "{file}"]
+    elif command == "catalog":
+        argv = ["catalog", draw(st.sampled_from(["list", "chains"])), "--ambient",
+                draw(st.sampled_from(["e6(-14)", "su(2,2)", "su(1,3)", "su(2,3)", "so*(8)",
+                                      "so(6,2)", "sp(4,R)", "su(0,2)", "x"])),
+                "--target", draw(st.sampled_from(["su(2,2)", "su(1,1)", "su(1,2)", "so*(8)",
+                                                  "e6(-14)", "x"])),
+                "--depth", str(draw(st.integers(-1, 3)))]
+    else:
+        argv = ["verify-paper"]
+        if draw(st.booleans()):
+            argv += ["--only", draw(st.sampled_from(["roots", "lemma31", "admissible",
+                                                     "chains", "catalog", "filters", "nope"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    for key in files:
+        if draw(st.integers(1, 10)) == 10:
+            files[key] = draw(st.sampled_from(["not json", "", "[[[1]]]", "5"]))
+    return argv, files
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_argv(), budget=st.sampled_from([None, None, None, "abc", "0", "5"]))
+def test_fuzzed_input_keeps_exit_contract(tmp_path_factory, case, budget):
+    argv, files = case
+    directory = tmp_path_factory.mktemp("fuzz")
+    for key, contents in files.items():
+        path = directory / key.strip("{}")
+        path.write_text(contents)
+        argv = [str(path) if a == key else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(BFS_BUDGET_ENV, None)
+        if budget is not None:
+            os.environ[BFS_BUDGET_ENV] = budget
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert argv[0] == "verify-paper" or argv[:2] == ["pisystem", "equiv"], argv

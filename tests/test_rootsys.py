@@ -17,6 +17,7 @@ from rootforge.rootsys import system_from_json
 from oracles import (
     a_model_roots,
     box_norm_roots,
+    cartan_number,
     d_model_roots,
     e6_model_count,
     e7_model_count,
@@ -54,6 +55,24 @@ class TestCartanMatrix:
         d = b2.symmetrizer
         a = b2.entries
         assert d[0] * a[0][1] == d[1] * a[1][0]
+
+    @pytest.mark.parametrize(
+        "cartan,symmetrizer",
+        [
+            (CartanMatrix.from_family("B", 3), (2, 2, 1)),
+            (CartanMatrix.from_family("C", 3), (1, 1, 2)),
+            (CartanMatrix(entries=((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))),
+             (2, 2, 1, 1)),
+            (CartanMatrix(entries=((2, -1), (-3, 2))), (3, 1)),
+        ],
+        ids=["B3", "C3", "F4", "G2"],
+    )
+    def test_cartan_integer_every_root_pair(self, cartan, symmetrizer):
+        system = build_root_system(cartan)
+        for a in system.roots:
+            for b in system.roots:
+                expected = cartan_number(cartan.entries, symmetrizer, a, b)
+                assert cartan_integer(system, a, b) == expected, (a, b)
 
     def test_spec_loader(self):
         assert system_from_json({"family": "A", "rank": 2}).rank == 2
