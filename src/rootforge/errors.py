@@ -50,11 +50,21 @@ class DifferenceIsRoot(RootForgeError):
 
 
 class SearchBudgetExceeded(RootForgeError):
-    """Weyl orbit search exceeded its state budget."""
+    """Weyl orbit search exceeded its state budget.
 
-    def __init__(self, explored: int):
+    ``explored`` counts the states seen, ``depth`` is the breadth-first
+    depth of the last one, and ``frontier`` counts the states queued but not
+    yet expanded when the search stopped.
+    """
+
+    def __init__(self, explored: int, depth: int, frontier: int):
         self.explored = explored
-        super().__init__(f"search budget exceeded after {explored} states")
+        self.depth = depth
+        self.frontier = frontier
+        super().__init__(
+            f"search budget exceeded after {explored} states, "
+            f"at depth {depth} with {frontier} states in the frontier"
+        )
 
 
 class NonTraceless(RootForgeError):

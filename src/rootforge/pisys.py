@@ -9,10 +9,15 @@ ambient roots; the tests check the closure against an independent oracle
 for that set.  The linear-independence check solves exactly over the
 rationals (``rootsys.rational_solve``).
 
-The Weyl-equivalence search is a breadth-first walk of simple reflections
-acting on canonicalized root sets.  Exploration order is the node index
-order, so witness words are reproducible; every witness is re-applied and
-checked before it is returned.
+Weyl equivalence is decided by a W-class invariant, the dominant vector
+lambda in the W-orbit of 2rho' (the sum of a subsystem's ambient-positive
+roots).  Different invariants mean "not equivalent" at once.  Equal ones
+leave a breadth-first walk of simple reflections in J = {i : <lambda,
+alpha_i^vee> = 0}, which generate W_J, the stabilizer of lambda; that walk
+is complete, because any conjugator can be moved into W_J.  Exploration
+order is the node index order, so witness words are reproducible; they are
+not shortest words, and every witness is re-applied and checked before it
+is returned.
 """
 
 from __future__ import annotations
@@ -185,6 +190,43 @@ def _bfs_budget(budget: int | None) -> int:
     return value
 
 
+def _dominant_pairings(system: RootSystem, roots) -> tuple[tuple[int, ...], list[int]]:
+    """Dominate v = 2rho', the sum of the ambient-positive ``roots``.
+
+    Returns the pairings c_i = <lambda, alpha_i^vee> of the dominant vector
+    lambda in the W-orbit of v, and the nodes reflected, in order, to get
+    there.  The pairings start at A·v; a reflection at node i updates them
+    as c_k -> c_k - c_i A[k][i], so the walk never recomputes A·v.  The
+    node reflected is the lowest-index negative one, as in ``wdd.dominate``.
+    """
+    a = system.cartan.entries
+    n = system.rank
+    v = [0] * n
+    for r in roots:
+        if is_positive(r):
+            for j, x in enumerate(r):
+                v[j] += x
+    c = [sum(row[j] * v[j] for j in range(n) if v[j]) for row in a]
+    nodes = []
+    while True:
+        i = next((k for k, x in enumerate(c) if x < 0), None)
+        if i is None:
+            return tuple(c), nodes
+        ci = c[i]
+        for k in range(n):
+            if a[k][i]:
+                c[k] -= ci * a[k][i]
+        nodes.append(i)
+
+
+def _reflect_set(system: RootSystem, nodes, roots) -> tuple[Root, ...]:
+    """The root set after simple reflections at ``nodes``, left to right, sorted."""
+    out = list(roots)
+    for i in nodes:
+        out = [simple_reflect(system, i, r) for r in out]
+    return tuple(sorted(out))
+
+
 def weyl_equivalent(
     system: RootSystem,
     a: SubrootSystem,
@@ -193,9 +235,24 @@ def weyl_equivalent(
 ) -> WeylWord | None:
     """A word w of simple reflections with w(a.roots) = b.roots, or None.
 
-    Breadth-first over the orbit of a.roots under simple reflections; ties
-    broken by node index, states canonicalized as sorted tuples.  Raises
-    SearchBudgetExceeded if the orbit walk passes the configured budget.
+    Invariant: v = 2rho', the sum of a subsystem's ambient-positive roots,
+    is dominated by simple reflections x_a (x_b for b) to lambda_a
+    (lambda_b).  A conjugator can be composed with an element of W(b) that
+    carries the image of a's positive roots to b's, so it maps 2rho'_a to
+    2rho'_b; hence lambda_a != lambda_b means not equivalent.
+
+    Search: otherwise the stabilizer of lambda is the standard parabolic
+    subgroup W_J, J = {i : <lambda, alpha_i^vee> = 0} (Humphreys,
+    *Reflection Groups and Coxeter Groups* §1.12), and x_b w x_a^-1 lies in
+    it for a conjugator w with w(2rho'_a) = 2rho'_b.  So a breadth-first walk
+    of the W_J-orbit of x_a(a.roots), over the simple reflections in J in
+    node order with states canonicalized as sorted tuples, reaches
+    x_b(b.roots) exactly when the two are equivalent.  The budget counts
+    these states; SearchBudgetExceeded is raised past it.
+
+    The witness is x_a, then the walk's word, then x_b reversed.  It is
+    deterministic and replayed through ``apply_word`` before it is
+    returned, but not in general a shortest word.
     """
     start = tuple(sorted(a.roots))
     goal = tuple(sorted(b.roots))
@@ -204,34 +261,39 @@ def weyl_equivalent(
     if len(start) != len(goal):
         return None
     limit = _bfs_budget(budget)
-    n = system.rank
+    lam, x_a = _dominant_pairings(system, start)
+    lam_b, x_b = _dominant_pairings(system, goal)
+    if lam != lam_b:
+        return None
+    parabolic = [i for i, c in enumerate(lam) if c == 0]
+    start = _reflect_set(system, x_a, start)
+    goal = _reflect_set(system, x_b, goal)
     parents: dict[tuple, tuple | None] = {start: None}
-    queue = [start]
+    queue = [(start, 0)]
     head = 0
-    found = None
-    while head < len(queue) and found is None:
-        state = queue[head]
+    while goal not in parents and head < len(queue):
+        state, depth = queue[head]
         head += 1
-        for i in range(n):
+        for i in parabolic:
             nxt = tuple(sorted(simple_reflect(system, i, r) for r in state))
             if nxt in parents:
                 continue
             parents[nxt] = (state, i)
             if len(parents) > limit:
-                raise SearchBudgetExceeded(len(parents))
+                raise SearchBudgetExceeded(len(parents), depth + 1, len(queue) - head)
             if nxt == goal:
-                found = nxt
                 break
-            queue.append(nxt)
-    if found is None:
+            queue.append((nxt, depth + 1))
+    if goal not in parents:
         return None
     rev = []
-    cur = found
+    cur = goal
     while parents[cur] is not None:
         prev, i = parents[cur]
         rev.append(i)
         cur = prev
-    word = tuple(system.simple(i) for i in reversed(rev))
+    nodes = x_a + rev[::-1] + x_b[::-1]
+    word = tuple(system.simple(i) for i in nodes)
     if apply_word(system, word, tuple(a.roots)) != b.roots:
         raise RootForgeError("internal: witness word failed verification")
     return word

@@ -32,8 +32,6 @@ from .errors import NotARoot, NotFiniteType, RootForgeError
 
 Root = tuple[int, ...]
 
-CLOSURE_BOUND_DEFAULT = 10_000
-
 _FAMILIES = ("A", "B", "C", "D", "E")
 
 
@@ -136,8 +134,8 @@ class CartanMatrix:
                     join(i, i + 1)
                 join(n - 3, n - 1)
         else:  # E
-            if n < 3:
-                raise NotFiniteType("E family needs rank >= 3")
+            if n < 4:
+                raise NotFiniteType("E family needs rank >= 4")
             for i in range(n - 2):
                 join(i, i + 1)
             join(n - 4, n - 1)
@@ -286,10 +284,24 @@ class RootSystem:
     def __contains__(self, v) -> bool:
         return tuple(v) in self.roots
 
+    @cached_property
+    def _stored(self) -> dict[Root, Root]:
+        return {r: r for r in self.roots}
+
     def require_root(self, v) -> Root:
-        r = tuple(int(x) for x in v)
-        if r not in self.roots:
-            raise NotARoot(f"{r} is not a root of this system")
+        """The stored root equal to ``v``; NotARoot for anything else.
+
+        One dict lookup, no per-coordinate conversion: integer-valued
+        entries (1.0, Fraction(2)) compare equal to the stored ints and give
+        the stored tuple, while 1.9, "1" and unhashable entries match no
+        root, as ``strict_int`` rejects them.
+        """
+        try:
+            r = self._stored.get(tuple(v))
+        except TypeError:  # not iterable, or an unhashable entry
+            r = None
+        if r is None:
+            raise NotARoot(f"{v!r} is not a root of this system")
         return r
 
     def inner(self, x, y) -> int:
@@ -348,13 +360,30 @@ def reflection_closure(pairs, max_roots: int) -> set[Root]:
     return roots
 
 
-def build_root_system(cartan: CartanMatrix, max_roots: int = CLOSURE_BOUND_DEFAULT) -> RootSystem:
+def _closure_bound(rank: int) -> int:
+    """2n^2 + 240, at least |Phi| for every finite root system of rank n.
+
+    A component of rank m has at most 2m^2 roots (A_m: m(m+1), B_m and C_m:
+    2m^2, D_m: 2m(m-1), E6: 72), except G2, F4, E7 and E8, which exceed 2m^2
+    by e = 4, 16, 28 and 112 <= 2m^2.  Ranks m_1 + ... + m_k = n give
+    2n^2 = sum 2m_i^2 + 4 sum_{i<j} m_i m_j.  Let c be the component of
+    largest excess; e grows with m, so every other exceptional component j
+    has m_j <= m_c and e_j <= 2m_j^2 <= 4 m_c m_j, a cross term of 2n^2.
+    Hence |Phi| <= 2n^2 + e_c <= 2n^2 + 112.
+    """
+    return 2 * rank * rank + 240
+
+
+def build_root_system(cartan: CartanMatrix, max_roots: int | None = None) -> RootSystem:
     """Close the simple roots, with the rows of A, under simple reflections.
 
     Every root is W-conjugate to a simple root, and s_i(alpha_i) = -alpha_i,
-    so the closure is the whole root set.  ``max_roots`` is a backstop: the
-    CartanMatrix constructor already rejects affine and indefinite types.
+    so the closure is the whole root set.  ``max_roots`` is a backstop,
+    ``_closure_bound(rank)`` by default: the CartanMatrix constructor
+    already rejects affine and indefinite types.
     """
+    if max_roots is None:
+        max_roots = _closure_bound(cartan.rank)
     simples = [tuple(int(j == i) for j in range(cartan.rank)) for i in range(cartan.rank)]
     roots = reflection_closure(list(zip(simples, cartan.entries)), max_roots)
     return RootSystem(cartan=cartan, roots=frozenset(roots))
@@ -391,9 +420,7 @@ def reflect(sys: RootSystem, alpha, beta) -> Root:
 
 def simple_reflect(sys: RootSystem, i: int, beta: Root) -> Root:
     """Fast path for s_{alpha_i}; no membership checks."""
-    a = sys.cartan.entries[i]
-    n = sys.rank
-    c = sum(a[j] * beta[j] for j in range(n) if beta[j])
+    c = sum(x * b for x, b in zip(sys.cartan.entries[i], beta) if b)
     if c == 0:
         return beta
     img = list(beta)

@@ -69,6 +69,45 @@ def span_roots(system, gens) -> frozenset:
     return frozenset(out)
 
 
+def orbit_equivalent(system, roots_a, roots_b):
+    """A word of simple roots carrying roots_a onto roots_b, or None.
+
+    Breadth-first over the whole W-orbit of roots_a under simple
+    reflections, states canonicalized as sorted tuples: the reference for
+    ``weyl_equivalent``, which searches only a parabolic subgroup.  A "not
+    equivalent" answer exhausts the orbit, so keep the inputs small.
+    """
+    a = system.cartan.entries
+    n = system.rank
+
+    def reflect(i, beta):
+        c = sum(a[i][j] * beta[j] for j in range(n))
+        return tuple(x - c if j == i else x for j, x in enumerate(beta))
+
+    start = tuple(sorted(roots_a))
+    goal = tuple(sorted(roots_b))
+    if len(start) != len(goal):
+        return None
+    parents = {start: None}
+    queue = [start]
+    for state in queue:
+        if state == goal:
+            break
+        for i in range(n):
+            nxt = tuple(sorted(reflect(i, r) for r in state))
+            if nxt not in parents:
+                parents[nxt] = (state, i)
+                queue.append(nxt)
+    if goal not in parents:
+        return None
+    nodes = []
+    cur = goal
+    while parents[cur] is not None:
+        cur, i = parents[cur]
+        nodes.append(i)
+    return tuple(system.simple(i) for i in reversed(nodes))
+
+
 def d_model_roots(n: int) -> set[tuple[int, ...]]:
     """Type D_n root set in simple-root coordinates.
 

@@ -262,12 +262,13 @@ class TestUsage:
              '{"pi_system": [[1e400,0]]}', {}),
             (["wdd", "push", "--family", "A", "--rank", "2", "--embedding", "{file}",
               "--coroot", "1"], '{"embedding": [[1e400,0]]}', {}),
+            (["build", "--family", "E", "--rank", "3"], None, {}),
         ],
         ids=["gens-missing-key", "system-not-json", "system-missing-key",
              "embedding-wrong-shape", "weights-zero-denominator", "budget-not-integer",
              "cartan-not-integer", "rank-not-integer", "cartan-overflow",
              "gens-not-integer", "gens-string", "gens-overflow", "gens-file-overflow",
-             "embedding-overflow"],
+             "embedding-overflow", "e-rank-3"],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, argv, contents, env):
         path = tmp_path / "input.json"

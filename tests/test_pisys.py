@@ -11,6 +11,7 @@ from rootforge import (
     apply_word,
     apply_word_to_root,
     check_pi_system,
+    family_system,
     generate,
     is_positive,
     name_real_form,
@@ -141,6 +142,25 @@ class TestRebaseHermitian:
         assert e6.inner(basis[0], basis[1]) == 0
 
 
+def _parabolic_pair(e6):
+    """An equivalent E6 pair whose search walks its parabolic orbit: 3 states."""
+    a = span_subsystem(e6, (A1, (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)))
+    b = span_subsystem(e6, ((0, 0, 0, 0, 0, -1), (0, 1, 2, 1, 0, 1),
+                            (-1, -1, -2, -1, -1, -1)))
+    return a, b
+
+
+def _conjugate(system, nodes, word):
+    """span of the simple roots at 1-based ``nodes``, moved by simple reflections."""
+    gens = []
+    for k in nodes:
+        root = system.simple(k - 1)
+        for i in word:
+            root = apply_word_to_root(system, (system.simple(i),), root)
+        gens.append(root)
+    return span_subsystem(system, gens)
+
+
 class TestWeylEquivalence:
     def test_identity(self, e6):
         a = span_subsystem(e6, (E6_BETA1, A1, A2))
@@ -168,18 +188,22 @@ class TestWeylEquivalence:
         assert weyl_equivalent(e6, a3, a1x3) is None
 
     def test_budget_exceeded(self, e6):
-        bottom = span_subsystem(e6, (R3_ROOT, A1, A2))
-        top = span_subsystem(e6, (E6_BETA1, A1, A2))
+        a, b = _parabolic_pair(e6)
         with pytest.raises(SearchBudgetExceeded) as exc:
-            weyl_equivalent(e6, bottom, top, budget=2)
+            weyl_equivalent(e6, a, b, budget=2)
         assert exc.value.explored > 2
+        assert (exc.value.explored, exc.value.depth, exc.value.frontier) == (3, 1, 1)
+        assert str(exc.value) == (
+            "search budget exceeded after 3 states, at depth 1 with 1 states in the frontier"
+        )
+        word = weyl_equivalent(e6, a, b)
+        assert apply_word(e6, word, tuple(a.roots)) == b.roots
 
     def test_env_budget_honored(self, e6, monkeypatch):
         monkeypatch.setenv("ROOTFORGE_BFS_BUDGET", "2")
-        bottom = span_subsystem(e6, (R3_ROOT, A1, A2))
-        top = span_subsystem(e6, (E6_BETA1, A1, A2))
+        a, b = _parabolic_pair(e6)
         with pytest.raises(SearchBudgetExceeded):
-            weyl_equivalent(e6, bottom, top)
+            weyl_equivalent(e6, a, b)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_env_budget_rejected(self, e6, monkeypatch, value):
@@ -195,3 +219,29 @@ class TestWeylEquivalence:
         w1 = weyl_equivalent(e6, bottom, top)
         w2 = weyl_equivalent(e6, bottom, top)
         assert w1 == w2
+
+    @pytest.mark.parametrize("nodes_a,nodes_b", [
+        ((1, 3, 5), (1, 3, 7)),              # 3A1
+        ((1, 2, 3, 4, 7), (2, 3, 4, 5, 6)),  # A5
+        ((1, 2, 3, 7), (1, 2, 3, 6)),        # A3+A1
+    ], ids=["3A1", "A5", "A3+A1"])
+    def test_e7_inequivalent_types_need_no_search(self, e7, nodes_a, nodes_b):
+        # the 2rho' invariant separates them; a full orbit walk needs 336-3780 states
+        a = _conjugate(e7, nodes_a, (3, 2, 6, 0))
+        b = _conjugate(e7, nodes_b, (5, 4, 1))
+        assert len(a.roots) == len(b.roots)
+        assert weyl_equivalent(e7, a, b, budget=1) is None
+
+    @pytest.mark.parametrize("nodes,word_a,word_b,states", [
+        ((1, 3, 5, 7), (1, 3, 3, 5, 0, 5, 6, 4, 6, 1, 5, 0, 4, 1, 4, 5, 4),
+         (2, 6, 6, 5, 7, 2, 2, 6, 7, 3, 2, 1, 5, 0, 6, 1), 100),
+        ((2, 3, 4, 8), (4, 5, 0, 7, 3, 0, 2, 1, 5, 7, 3, 6, 1, 3, 0, 3, 6, 4, 2, 6, 2, 1, 2, 7),
+         (2, 0, 0, 3, 3, 2, 2, 4, 5), 16),
+    ], ids=["4A1", "A3+A1"])
+    def test_e8_four_generators_small_search(self, nodes, word_a, word_b, states):
+        e8 = family_system("E", 8)
+        a = _conjugate(e8, nodes, word_a)
+        b = _conjugate(e8, nodes, word_b)
+        word = weyl_equivalent(e8, a, b, budget=states)
+        assert word is not None
+        assert apply_word(e8, word, tuple(a.roots)) == b.roots

@@ -6,6 +6,7 @@ vectors, and random Weyl words.  All suites are deterministic
 (derandomized) and use exact arithmetic end to end.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,7 +37,7 @@ from rootforge.errors import RootForgeError
 from rootforge.hermitian import HermitianMarking
 from rootforge.wdd import reflect_weights
 
-from oracles import span_roots
+from oracles import orbit_equivalent, span_roots
 
 SETTINGS = settings(
     max_examples=300,
@@ -52,6 +53,7 @@ F4 = build_root_system(CartanMatrix(entries=(
 )))
 G2 = build_root_system(CartanMatrix(entries=((2, -1), (-3, 2))))
 SPAN_POOL = FULL_POOL + [("B", 3), ("B", 4), ("C", 3), ("C", 4), F4, G2]
+ORBIT_POOL = SPAN_POOL + [("A", 5), ("D", 6)]
 
 
 def _system(draw, pool):
@@ -242,3 +244,48 @@ def test_weyl_equivalence_reflexive_via_identity(case):
     sys, gens = case
     a = span_subsystem(sys, gens)
     assert weyl_equivalent(sys, a, a) == ()
+
+
+@st.composite
+def same_size_subsystems(draw):
+    """Two subsystems with as many roots, each moved by a random Weyl word.
+
+    The second is the first again (equivalent), or another Pi-system with
+    as many generators and roots, which may or may not be equivalent to it.
+    Roots and words come from a Random seeded by the draw, so that both
+    sides move by words of their own.
+    """
+    from rootforge.pisys import SubrootSystem
+
+    sys = _system(draw, ORBIT_POOL)
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    roots = sorted(sys.roots)
+
+    def random_pi(size):
+        if rnd.random() < 0.5:  # a standard parabolic subsystem
+            return [sys.simple(i) for i in rnd.sample(range(sys.rank), size)]
+        return greedy_pi_system(sys, rnd.sample(roots, len(roots)), size)
+
+    gens = random_pi(rnd.randint(1, min(4, sys.rank - 1)))
+    a = span_subsystem(sys, gens)
+    b = a
+    if draw(st.integers(min_value=0, max_value=3)):
+        others = (span_subsystem(sys, random_pi(len(gens))) for _ in range(20))
+        b = next((o for o in others if len(o.roots) == len(a.roots)), a)
+    moved = []
+    for sub in (a, b):
+        image = sub.roots
+        for _ in range(rnd.randint(1, 12)):
+            image = apply_word(sys, (sys.simple(rnd.randrange(sys.rank)),), image)
+        moved.append(SubrootSystem(system=sys, roots=image, basis=sub.basis))
+    return sys, moved[0], moved[1]
+
+
+@settings(SETTINGS, max_examples=600)
+@given(same_size_subsystems())
+def test_weyl_equivalent_matches_orbit_oracle(case):
+    sys, a, b = case
+    word = weyl_equivalent(sys, a, b)
+    assert (word is None) == (orbit_equivalent(sys, a.roots, b.roots) is None)
+    if word is not None:
+        assert apply_word(sys, word, tuple(a.roots)) == b.roots

@@ -12,7 +12,7 @@ from rootforge import (
     is_positive,
     reflect,
 )
-from rootforge.rootsys import system_from_json
+from rootforge.rootsys import _closure_bound, system_from_json
 
 from oracles import (
     a_model_roots,
@@ -49,6 +49,13 @@ class TestCartanMatrix:
             CartanMatrix(entries=((2, -2), (-2, 2)))
         with pytest.raises(NotFiniteType):
             CartanMatrix.from_family("E", 9)
+
+    def test_e_family_needs_rank_4(self):
+        for rank in (1, 2, 3):
+            with pytest.raises(NotFiniteType, match="E family needs rank >= 4"):
+                CartanMatrix.from_family("E", rank)
+        assert len(family_system("E", 4).roots) == 20  # A4
+        assert len(family_system("E", 5).roots) == 40  # D5
 
     def test_symmetrizer_b2(self):
         b2 = CartanMatrix.from_family("B", 2)
@@ -130,6 +137,29 @@ class TestClosure:
         with pytest.raises(NotFiniteType):
             build_root_system(affine, max_roots=3)
 
+    def test_closure_bound_covers_every_type(self):
+        # |Phi| from the closed forms, for every sum of up to three
+        # irreducible components of total rank <= 16
+        counts = [(m, m * (m + 1)) for m in range(1, 17)]  # A
+        counts += [(m, 2 * m * m) for m in range(2, 17)]  # B, C
+        counts += [(m, 2 * m * (m - 1)) for m in range(4, 17)]  # D
+        counts += [(2, 12), (4, 48), (6, 72), (7, 126), (8, 240)]  # G2 F4 E6 E7 E8
+        sums = {(0, 0)}
+        for _ in range(3):
+            sums |= {(n + m, k + c) for n, k in sums for m, c in counts if n + m <= 16}
+        assert all(k <= _closure_bound(n) for n, k in sums if n)
+
+    def test_bound_sized_systems_build(self):
+        # C12 has 2n^2 roots, the most of any classical type; E8+E8 adds the
+        # largest exceptional excess twice
+        e8 = CartanMatrix.from_family("E", 8).entries
+        blocks = tuple(row + (0,) * 8 for row in e8) + tuple((0,) * 8 + row for row in e8)
+        for cartan, count in ((CartanMatrix.from_family("C", 12), 288),
+                              (CartanMatrix(entries=blocks), 480)):
+            assert len(build_root_system(cartan).roots) == count
+            with pytest.raises(NotFiniteType):
+                build_root_system(cartan, max_roots=count - 1)
+
     def test_negation_closure(self, e6):
         assert all(tuple(-x for x in r) in e6.roots for r in e6.roots)
 
@@ -172,6 +202,21 @@ class TestReflectionsAndIntegers:
             cartan_integer(e6, (1, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0))
         with pytest.raises(NotARoot):
             reflect(e6, (1, 0, 0, 0, 0, 0), (9, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("vector", [
+        (1.9, 0), ("1", 0), (1, 0, 0), (1,), ([1], 0), 5, None,
+    ], ids=["float", "string", "too-long", "too-short", "nested", "int", "none"])
+    def test_require_root_rejects_non_roots(self, vector):
+        with pytest.raises(NotARoot):
+            family_system("A", 2).require_root(vector)
+
+    def test_require_root_gives_the_stored_tuple(self):
+        from fractions import Fraction
+
+        a2 = family_system("A", 2)
+        for vector in ((1, 0), [1, 0], (1.0, 0), (Fraction(1), 0)):
+            got = a2.require_root(vector)
+            assert got == (1, 0) and all(type(x) is int for x in got)
 
     @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6), ("E", 7)])
     def test_exhaustive_reflection_closure(self, family, rank):
